@@ -114,7 +114,7 @@ func TestBlockParallelAnalyzerDifferential(t *testing.T) {
 // TestBlockParallelSharedKernelSweep launches one cached kernel from many
 // devices at once, each launch itself block-parallel — the configuration
 // the -race CI job uses to prove worker shadows never race on shared
-// kernel state (lowered programs, fused chains, hot-recompile profiles).
+// kernel state (lowered programs, fused chains).
 func TestBlockParallelSharedKernelSweep(t *testing.T) {
 	def := &cc.KernelDef{
 		Name:       "par_shared_kernel",

@@ -9,12 +9,15 @@ package campaign
 //	shard-NNNNN.json — one file per completed shard: the shard index and the
 //	                  per-trial classes and cycle counts, in trial order.
 //
-// Every file is written to a .tmp sibling and renamed into place, so a
-// SIGKILL at any instant leaves either no shard file or a complete one —
-// there is no torn state to repair. Resume is therefore trivial: load every
-// well-formed shard file, re-run the rest. An unreadable or ill-sized shard
-// file is treated as missing and re-run, which self-heals rather than
-// wedging the campaign.
+// Every file is written to a .tmp sibling, fsynced, renamed into place, and
+// the directory is fsynced after the rename. A process kill at any instant
+// leaves either no shard file or a complete one, and because a committed
+// file's data and directory entry reach stable storage before the write
+// returns, an OS crash or power loss after that point cannot lose or empty
+// it either — there is no torn state to repair. Resume is therefore
+// trivial: load every well-formed shard file, re-run the rest. An
+// unreadable or ill-sized shard file is treated as missing and re-run,
+// which self-heals rather than wedging the campaign.
 
 import (
 	"encoding/json"
@@ -126,18 +129,53 @@ func (c *checkpoint) writeShard(si int, results []Result) error {
 	return writeAtomic(c.shardPath(si), sf)
 }
 
-// writeAtomic writes v as JSON via a .tmp sibling and an atomic rename.
+// writeAtomic durably writes v as JSON: the bytes go to a .tmp sibling that
+// is fsynced before an atomic rename, and the directory is fsynced after it
+// so the rename itself survives a crash.
 func writeAtomic(path string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("campaign: encoding %s: %w", filepath.Base(path), err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
 		return fmt.Errorf("campaign: writing %s: %w", filepath.Base(tmp), err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("campaign: committing %s: %w", filepath.Base(path), err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("campaign: syncing checkpoint dir for %s: %w", filepath.Base(path), err)
+	}
 	return nil
+}
+
+// writeSynced writes data to name and fsyncs it before closing.
+func writeSynced(name string, data []byte) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -18,9 +18,9 @@ import (
 // alias names are the public schema; the internal packages stay free to
 // grow unexported machinery behind them.
 type (
-	// DetectorConfig configures the GPU-FPX detector (WithDetector).
+	// DetectorConfig configures the GPU-FPX detector (WithTool(Detector(cfg))).
 	DetectorConfig = fpx.DetectorConfig
-	// AnalyzerConfig configures the exception-flow analyzer (WithAnalyzer).
+	// AnalyzerConfig configures the exception-flow analyzer (WithTool(Analyzer(cfg))).
 	AnalyzerConfig = fpx.AnalyzerConfig
 	// ShadowConfig configures the shadow-precision sanitizer (WithShadow).
 	ShadowConfig = fpx.ShadowConfig

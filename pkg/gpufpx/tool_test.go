@@ -1,8 +1,8 @@
 package gpufpx
 
-// Tool-selection contract tests: WithTool is the single tool surface, the
-// deprecated per-tool options are exact aliases, the last tool option in the
-// option list always wins, and a shadow session is byte-identical to driving
+// Tool-selection contract tests: WithTool is the single tool surface,
+// WithShadow is an exact alias, the last tool option in the option list
+// always wins, and a shadow session is byte-identical to driving
 // the internal sanitizer directly.
 
 import (
@@ -29,11 +29,11 @@ func TestWithToolPrecedenceMatrix(t *testing.T) {
 		{"single WithTool", []Option{WithTool(ana)}, "analyzer"},
 		{"last WithTool wins", []Option{WithTool(det), WithTool(sha)}, "shadow"},
 		{"three in a row", []Option{WithTool(sha), WithTool(ana), WithTool(BinFPE())}, "binfpe"},
-		{"deprecated option alone", []Option{WithAnalyzer(DefaultAnalyzerConfig())}, "analyzer"},
-		{"WithTool beats earlier deprecated", []Option{WithMemcheck(), WithTool(sha)}, "shadow"},
-		{"deprecated beats earlier WithTool", []Option{WithTool(sha), WithPlain()}, "plain"},
+		{"WithShadow alone", []Option{WithShadow(DefaultShadowConfig())}, "shadow"},
+		{"WithTool beats earlier WithShadow", []Option{WithShadow(DefaultShadowConfig()), WithTool(Memcheck())}, "memcheck"},
+		{"WithShadow beats earlier WithTool", []Option{WithTool(ana), WithShadow(DefaultShadowConfig())}, "shadow"},
 		{"mixed chain, last wins", []Option{
-			WithDetector(DefaultDetectorConfig()), WithTool(ana), WithBinFPE(), WithShadow(DefaultShadowConfig()),
+			WithTool(det), WithTool(ana), WithTool(BinFPE()), WithShadow(DefaultShadowConfig()),
 		}, "shadow"},
 		{"unrelated options do not reset the tool", []Option{
 			WithTool(sha), WithFreq(4), WithVerbose(true), WithParallelism(4),
@@ -73,27 +73,19 @@ func TestWithToolKeepsLastConfigPerTool(t *testing.T) {
 }
 
 func TestDeprecatedOptionsAreExactAliases(t *testing.T) {
-	detCfg := DefaultDetectorConfig()
-	detCfg.Verbose = true
-	anaCfg := DefaultAnalyzerConfig()
 	shaCfg := DefaultShadowConfig()
 	shaCfg.SigBits = 6
 	pairs := []struct {
 		name     string
 		old, new Option
 	}{
-		{"detector", WithDetector(detCfg), WithTool(Detector(detCfg))},
-		{"analyzer", WithAnalyzer(anaCfg), WithTool(Analyzer(anaCfg))},
 		{"shadow", WithShadow(shaCfg), WithTool(Shadow(shaCfg))},
-		{"binfpe", WithBinFPE(), WithTool(BinFPE())},
-		{"memcheck", WithMemcheck(), WithTool(Memcheck())},
-		{"plain", WithPlain(), WithTool(Plain())},
 	}
 	for _, p := range pairs {
 		a, b := New(p.old), New(p.new)
 		a.output, b.output = nil, nil // funcs/interfaces aside, compare state
 		if !reflect.DeepEqual(stripFuncs(a), stripFuncs(b)) {
-			t.Errorf("%s: legacy option built a different session than WithTool", p.name)
+			t.Errorf("%s: alias option built a different session than WithTool", p.name)
 		}
 	}
 }
