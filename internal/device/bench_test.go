@@ -1,6 +1,7 @@
 package device
 
 import (
+	"strings"
 	"testing"
 
 	"gpufpx/internal/sass"
@@ -29,6 +30,32 @@ ISETP.LT.AND P0, PT, R1, 0x100, PT ;
 @P0 BRA L_top ;
 EXIT ;
 `)
+
+// fmulLoop squares a seed every iteration, as the corpus Monte Carlo
+// samples do: with seed 1e-20 every product is subnormal and every second
+// FMUL also reads a subnormal input — the host multiply's microcode-assist
+// case — while seed 1.5 keeps every value normal.
+func fmulLoop(name, seed string) *sass.Kernel {
+	return sass.MustParse(name, `
+MOV32I R1, 0x0 ;
+MOV32I R2, `+seed+` ;
+MOV32I R3, 0x3f800000 ;
+L_top:
+FMUL R4, R2, R2 ;
+FMUL R5, R4, R3 ;
+FMUL R6, R2, R2 ;
+FMUL R7, R6, R3 ;
+IADD R1, R1, 0x1 ;
+ISETP.LT.AND P0, PT, R1, 0x100, PT ;
+@P0 BRA L_top ;
+EXIT ;
+`)
+}
+
+var (
+	fmulSubnormal = fmulLoop("bench_fmul_subnormal", "0x1e3ce508")
+	fmulNormal    = fmulLoop("bench_fmul_normal", "0x3fc00000")
+)
 
 // predicated splits the warp into two half-populated exec masks per
 // iteration, exercising the sparse-mask path of every lowered thunk.
@@ -93,6 +120,19 @@ func BenchmarkFFMADense(b *testing.B) {
 	b.Run("interp", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecInterp, false) })
 }
 
+// BenchmarkFMULSubnormal shows the FP32 multiply's subnormal cost per
+// executor beside the same loop on normal values: lowered and fused multiply
+// through fmul32 and run both at the same speed, while interp keeps the
+// host multiply and pays its assist.
+func BenchmarkFMULSubnormal(b *testing.B) {
+	for _, k := range []*sass.Kernel{fmulSubnormal, fmulNormal} {
+		kind := strings.TrimPrefix(k.Name, "bench_fmul_")
+		b.Run(kind+"/fused", func(b *testing.B) { benchLaunch(b, k, ExecFused, false) })
+		b.Run(kind+"/lowered", func(b *testing.B) { benchLaunch(b, k, ExecLowered, false) })
+		b.Run(kind+"/interp", func(b *testing.B) { benchLaunch(b, k, ExecInterp, false) })
+	}
+}
+
 func BenchmarkPredicated(b *testing.B) {
 	b.Run("fused", func(b *testing.B) { benchLaunch(b, predicated, ExecFused, false) })
 	b.Run("lowered", func(b *testing.B) { benchLaunch(b, predicated, ExecLowered, false) })
@@ -109,7 +149,7 @@ func BenchmarkInstrumented(b *testing.B) {
 // differential contract: same cycles and same instruction counts under all
 // three dispatch modes.
 func TestBenchKernelsAgreeAcrossExecutors(t *testing.T) {
-	for _, k := range []*sass.Kernel{ffmaDense, predicated} {
+	for _, k := range []*sass.Kernel{ffmaDense, predicated, fmulSubnormal} {
 		di := New(DefaultConfig())
 		si, err := di.Launch(&Launch{Kernel: k, GridDim: 4, BlockDim: 64, Exec: ExecInterp})
 		if err != nil {

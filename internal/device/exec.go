@@ -791,7 +791,7 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		ex.putF32(w, l, &ops[0], a+b, ftz)
 	case sass.OpFMUL, sass.OpFMUL32I:
 		a, b := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz)
-		ex.putF32(w, l, &ops[0], a*b, ftz)
+		ex.putF32(w, l, &ops[0], mulNaN32(a*b, a), ftz)
 	case sass.OpFFMA, sass.OpFFMA32I:
 		a, b, c := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz), ex.srcF32(w, l, &ops[3], ftz)
 		ex.putF32(w, l, &ops[0], float32(fma32(a, b, c)), ftz)
@@ -1206,6 +1206,28 @@ func (ex *executor) putF64(w *Warp, l int, dst *sass.Operand, v float64) {
 // all but pathological double-rounding corner cases.
 func fma32(a, b, c float32) float32 {
 	return float32(math.FMA(float64(a), float64(b), float64(c)))
+}
+
+// fmul32 computes an FP32 multiply without the host FPU's subnormal assist:
+// x86 MULSS takes a microcode assist, about 20x slower, whenever an input or
+// the result is subnormal, while the same product in float64 is a normal
+// number. The float64 product of two 24-bit significands is exact and its
+// exponent range covers subnormal×subnormal, so the conversion back is the
+// one IEEE round-to-nearest-even and the result is bit-identical to a*b.
+func fmul32(a, b float32) float32 {
+	return mulNaN32(float32(float64(a)*float64(b)), a)
+}
+
+// mulNaN32 pins the NaN×NaN payload of an FP32 product v = a*b to x86's
+// rule: the first operand's NaN, quieted. The compiler may swap the operands
+// of a commutative multiply, so a bare a*b otherwise returns either payload
+// depending on the site it was compiled at. Every other NaN product (one NaN
+// operand, Inf×0) has a single answer and passes through.
+func mulNaN32(v, a float32) float32 {
+	if v != v && a != a {
+		return math.Float32frombits(math.Float32bits(a) | 1<<22)
+	}
+	return v
 }
 
 // fmnmx32 implements FMNMX's IEEE-2008 min/max: when exactly one operand is

@@ -11,7 +11,9 @@ import (
 )
 
 // steadyAllocs measures allocations per launch after a warm-up launch has
-// populated the meta/lower/fuse caches and the scratch pools.
+// populated the meta/lower/fuse caches and the scratch pools. Under -race
+// sync.Pool drops items at random, so callers check the counts only when
+// !raceEnabled; the launches still run there.
 func steadyAllocs(t *testing.T, l *Launch) float64 {
 	t.Helper()
 	d := New(DefaultConfig())
@@ -29,6 +31,9 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 	for _, mode := range []ExecMode{ExecInterp, ExecLowered, ExecFused} {
 		small := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 1, BlockDim: 32, Exec: mode})
 		big := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 16, BlockDim: 256, Exec: mode})
+		if raceEnabled {
+			continue
+		}
 		// A few fixed allocations per launch remain (the executor itself,
 		// its cleanup closure); what the pools must guarantee is that the
 		// count no longer grows with warps, blocks or shared memory.
@@ -53,6 +58,9 @@ func TestLaunchSteadyStateAllocsInstrumented(t *testing.T) {
 	}
 	small := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 1, BlockDim: 32, Exec: ExecFused, InjectTab: tab})
 	big := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 16, BlockDim: 256, Exec: ExecFused, InjectTab: tab})
+	if raceEnabled {
+		return
+	}
 	if small > 8 {
 		t.Errorf("instrumented fused: %.0f allocs for a 1x32 launch, want the pooled handful", small)
 	}
