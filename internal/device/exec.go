@@ -126,36 +126,22 @@ func (d *Device) launchRange(l *Launch, meta *kernelMeta, mode ExecMode, budget 
 	if tab == nil {
 		tab = l.InjectTab
 	}
-	// Lower the PC→calls injection map into PC-indexed before/after slices
-	// once per launch, so the per-dynamic-instruction path is a slice index
-	// instead of a map lookup plus a When filter. A pre-split table skips
-	// even that: its slices are shared directly.
+	if tab.Empty() && len(l.Inject) > 0 {
+		// The raw map form (uncached, test and ad-hoc instrumentation) is
+		// split into a launch-private table.
+		tab = BuildInjectTable(len(l.Kernel.Instrs), l.Inject)
+	}
+	// A table's per-PC before/after slices are shared directly, so the
+	// per-dynamic-instruction path is a slice index instead of a map lookup
+	// plus a When filter.
 	if !tab.Empty() {
 		ex.injBefore, ex.injAfter = tab.split(len(l.Kernel.Instrs))
-	} else if len(l.Inject) > 0 {
-		n := len(l.Kernel.Instrs)
-		ex.injBefore = make([][]InjectedCall, n)
-		ex.injAfter = make([][]InjectedCall, n)
-		for pc, calls := range l.Inject {
-			if pc < 0 || pc >= n {
-				continue
-			}
-			for _, c := range calls {
-				if c.When == Before {
-					ex.injBefore[pc] = append(ex.injBefore[pc], c)
-				} else {
-					ex.injAfter[pc] = append(ex.injAfter[pc], c)
-				}
-			}
+		if fk != nil {
+			ex.calls = tab.fusedCallsFor(fk, ex.injBefore, ex.injAfter)
 		}
 	}
-	if fk != nil {
-		if fk.maxUni > 0 {
-			ex.uniBuf = growU32(sc.uniBuf, fk.maxUni)
-		}
-		if ex.injBefore != nil || ex.injAfter != nil {
-			ex.prepFusedCalls(sc)
-		}
+	if fk != nil && fk.maxUni > 0 {
+		ex.uniBuf = growU32(sc.uniBuf, fk.maxUni)
 	}
 	hasBar := meta.hasBar
 	warpsPerBlock := (l.BlockDim + WarpSize - 1) / WarpSize
@@ -167,7 +153,6 @@ func (d *Device) launchRange(l *Launch, meta *kernelMeta, mode ExecMode, budget 
 	warps := growPtrs(sc.warps, warpsPerBlock)
 	done := func() {
 		sc.warps, sc.shared, sc.uniBuf = warps, ex.shared, ex.uniBuf
-		sc.regionClean, sc.segClean = ex.regionClean, ex.segClean
 		sc.release()
 	}
 	for wi := 0; wi < warpsPerBlock; wi++ {
@@ -222,11 +207,10 @@ type executor struct {
 	// uniBuf is the chain prefetch scratch (fused mode), sized once per
 	// launch to the largest chain's uniform-operand count.
 	uniBuf []uint32
-	// regionClean and segClean mark regions/segments free of injected
-	// calls for this launch; both nil when the launch is uninstrumented
-	// (everything clean).
-	regionClean []bool
-	segClean    []bool
+	// calls marks the PCs, segments and regions of the fused program that
+	// carry injected calls; nil when the launch is uninstrumented
+	// (everything clean) or not fused.
+	calls *fusedCalls
 
 	// injBefore and injAfter are the launch's injected calls indexed by
 	// PC; both nil when the launch is uninstrumented.
@@ -323,10 +307,10 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	}
 	d := ex.d
 	exec := w.active
-	if ex.regionClean != nil && !ex.regionClean[ri] {
+	if ex.calls != nil && !ex.calls.regionClean[ri] {
 		// The body carries injected calls, which may abort the launch
-		// mid-region (event caps, early termination): statistics must be
-		// accounted per instruction so an abort observes exactly the
+		// mid-region (event caps, early termination): statistics must
+		// never run ahead of a call, so an abort observes exactly the
 		// cycle count stepOne would have reached.
 		if err := ex.runRegionSlow(w, r, exec); err != nil {
 			return err
@@ -393,67 +377,45 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	return nil
 }
 
-// runRegionSlow executes a region whose body carries injected calls:
-// call-free segments still run fused, the rest replays the per-instruction
-// protocol — before-calls, thunk, after-calls, with w.pc tracking each
-// site — so instrumented launches observe the exact lowered event order.
-// Statistics are accounted per instruction (never ahead of execution)
-// because any call may abort the launch.
+// runRegionSlow executes a region whose body carries injected calls with
+// the per-instruction protocol's observable order — before-calls, the
+// instruction, after-calls, with w.pc at the site — while the instructions
+// themselves still run fused: a chain segment runs its micro-ops between
+// its call sites (runChainCalls), and only thunk segments step per PC.
+// Statistics are settled in bulk per call-free PC run, but never ahead of
+// execution past a call, because any call may abort the launch.
 func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
-	k := ex.l.Kernel
-	d := ex.d
-	m := ex.meta
 	lanes := uint64(bits.OnesCount32(exec))
+	segClean := ex.calls.segClean[r.segBase:]
 	for si := range r.segs {
 		s := &r.segs[si]
-		if ex.segClean[r.segBase+si] {
+		switch {
+		case segClean[si]:
 			// No call can abort inside this segment, so its statistics
 			// can be settled before the fused body runs.
-			before := ex.issued
-			n := uint64(s.end - s.start)
-			ex.issued += n
-			if ex.cancel != nil && before>>10 != ex.issued>>10 {
-				select {
-				case <-ex.cancel:
-					return fmt.Errorf("device: kernel %s: %w", k.Name, ErrCanceled)
-				default:
-				}
+			if err := ex.settle(s.start, s.end, lanes); err != nil {
+				return err
 			}
-			d.Cycles += s.cost
-			d.Stats.FPInstructions += s.fp
-			d.Stats.Instructions += n
-			d.Stats.LaneOps += n * lanes
 			if s.ch != nil {
 				ex.runChain(w, s.ch, exec)
 			} else {
 				s.th(ex, w, exec)
 			}
-			continue
-		}
-		for pc := s.start; pc < s.end; pc++ {
-			ex.issued++
-			if ex.issued&1023 == 0 && ex.cancel != nil {
-				select {
-				case <-ex.cancel:
-					return fmt.Errorf("device: kernel %s: %w", k.Name, ErrCanceled)
-				default:
+		case s.ch != nil:
+			if err := ex.runChainCalls(w, s, exec, lanes); err != nil {
+				return err
+			}
+		default:
+			for pc := s.start; pc < s.end; pc++ {
+				if err := ex.settle(pc, pc+1, lanes); err != nil {
+					return err
 				}
-			}
-			d.Cycles += m.cost[pc]
-			d.Stats.Instructions++
-			d.Stats.LaneOps += lanes
-			if m.isFP[pc] {
-				d.Stats.FPInstructions++
-			}
-			w.pc = pc
-			in := &k.Instrs[pc]
-			if ex.injBefore != nil {
+				w.pc = pc
+				in := &ex.l.Kernel.Instrs[pc]
 				if err := ex.runCalls(ex.injBefore[pc], w, in, exec); err != nil {
 					return err
 				}
-			}
-			ex.low.thunks[pc](ex, w, exec)
-			if ex.injAfter != nil {
+				ex.low.thunks[pc](ex, w, exec)
 				if err := ex.runCalls(ex.injAfter[pc], w, in, exec); err != nil {
 					return err
 				}
@@ -463,35 +425,73 @@ func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
 	return nil
 }
 
-// prepFusedCalls marks, once per instrumented launch, which regions and
-// segments carry injected calls so the dispatch fast path stays a single
-// bool test.
-func (ex *executor) prepFusedCalls(sc *launchScratch) {
-	fk := ex.fk
-	ex.regionClean = growBools(sc.regionClean, len(fk.regions))
-	ex.segClean = growBools(sc.segClean, fk.nsegs)
-	for ri := range fk.regions {
-		r := &fk.regions[ri]
-		clean := true
-		for si := range r.segs {
-			s := &r.segs[si]
-			sc := true
-			for pc := s.start; pc < s.end; pc++ {
-				if ex.pcHasCall(pc) {
-					sc = false
-					clean = false
-					break
-				}
-			}
-			ex.segClean[r.segBase+si] = sc
+// runChainCalls runs a chain segment that carries injected calls. The
+// micro-ops of each call-free PC run back to back; at a call site the
+// statistics of every PC since the last site, the site's own included, are
+// settled at once — the same totals per-instruction stepping has reached
+// when it runs the site's before-calls — and then the site executes with
+// its calls around its own micro-ops. Every call therefore observes exactly
+// the registers, cycles, Stats, issued count and w.pc of stepping, and an
+// abort leaves that same state behind.
+func (ex *executor) runChainCalls(w *Warp, s *fusedSeg, exec uint32, lanes uint64) error {
+	c := s.ch
+	uni := ex.prefetch(c)
+	hasCall := ex.calls.hasCall
+	settled, next := s.start, int32(0)
+	for pc := s.start; pc < s.end; pc++ {
+		if !hasCall[pc] {
+			continue
 		}
-		ex.regionClean[ri] = clean
+		i := pc - s.start
+		for ; next < c.at[i]; next++ {
+			c.fns[next](w, exec, uni)
+		}
+		if err := ex.settle(settled, pc+1, lanes); err != nil {
+			return err
+		}
+		settled = pc + 1
+		w.pc = pc
+		in := &ex.l.Kernel.Instrs[pc]
+		if err := ex.runCalls(ex.injBefore[pc], w, in, exec); err != nil {
+			return err
+		}
+		for ; next < c.at[i+1]; next++ {
+			c.fns[next](w, exec, uni)
+		}
+		if err := ex.runCalls(ex.injAfter[pc], w, in, exec); err != nil {
+			return err
+		}
 	}
+	for ; int(next) < len(c.fns); next++ {
+		c.fns[next](w, exec, uni)
+	}
+	return ex.settle(settled, s.end, lanes)
 }
 
-func (ex *executor) pcHasCall(pc int) bool {
-	return ex.injBefore != nil && len(ex.injBefore[pc]) > 0 ||
-		ex.injAfter != nil && len(ex.injAfter[pc]) > 0
+// settle accounts the statistics of the region-body PCs [from, to) — each
+// an @PT instruction executed by every lane of the path — in one step,
+// polling the cancel channel when the issued count crosses a 1024
+// boundary.
+func (ex *executor) settle(from, to int, lanes uint64) error {
+	if from == to {
+		return nil
+	}
+	n := uint64(to - from)
+	before := ex.issued
+	ex.issued += n
+	if ex.cancel != nil && before>>10 != ex.issued>>10 {
+		select {
+		case <-ex.cancel:
+			return fmt.Errorf("device: kernel %s: %w", ex.l.Kernel.Name, ErrCanceled)
+		default:
+		}
+	}
+	d, fk := ex.d, ex.fk
+	d.Cycles += fk.costPre[to] - fk.costPre[from]
+	d.Stats.FPInstructions += fk.fpPre[to] - fk.fpPre[from]
+	d.Stats.Instructions += n
+	d.Stats.LaneOps += n * lanes
+	return nil
 }
 
 // stepOne executes one instruction for one warp.
@@ -788,10 +788,10 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I:
 		a, b := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz)
-		ex.putF32(w, l, &ops[0], a+b, ftz)
+		ex.putF32(w, l, &ops[0], fadd32(a, b), ftz)
 	case sass.OpFMUL, sass.OpFMUL32I:
 		a, b := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz)
-		ex.putF32(w, l, &ops[0], mulNaN32(a*b, a), ftz)
+		ex.putF32(w, l, &ops[0], firstNaN32(a*b, a), ftz)
 	case sass.OpFFMA, sass.OpFFMA32I:
 		a, b, c := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz), ex.srcF32(w, l, &ops[3], ftz)
 		ex.putF32(w, l, &ops[0], float32(fma32(a, b, c)), ftz)
@@ -799,10 +799,10 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		ex.mufu(w, in, l)
 	case sass.OpDADD:
 		a, b := ex.srcF64(w, l, &ops[1]), ex.srcF64(w, l, &ops[2])
-		ex.putF64(w, l, &ops[0], a+b)
+		ex.putF64(w, l, &ops[0], firstNaN64(a+b, a))
 	case sass.OpDMUL:
 		a, b := ex.srcF64(w, l, &ops[1]), ex.srcF64(w, l, &ops[2])
-		ex.putF64(w, l, &ops[0], a*b)
+		ex.putF64(w, l, &ops[0], firstNaN64(a*b, a))
 	case sass.OpDFMA:
 		a, b, c := ex.srcF64(w, l, &ops[1]), ex.srcF64(w, l, &ops[2]), ex.srcF64(w, l, &ops[3])
 		ex.putF64(w, l, &ops[0], math.FMA(a, b, c))
@@ -836,10 +836,10 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		ex.putF32(w, l, &ops[0], fmnmx32(a, b, min), ftz)
 	case sass.OpHADD2:
 		a, b := ex.srcF16(w, l, &ops[1]), ex.srcF16(w, l, &ops[2])
-		ex.putF16(w, l, &ops[0], a+b)
+		ex.putF16(w, l, &ops[0], fadd32(a, b))
 	case sass.OpHMUL2:
 		a, b := ex.srcF16(w, l, &ops[1]), ex.srcF16(w, l, &ops[2])
-		ex.putF16(w, l, &ops[0], a*b)
+		ex.putF16(w, l, &ops[0], firstNaN32(a*b, a))
 	case sass.OpHFMA2:
 		a, b, c := ex.srcF16(w, l, &ops[1]), ex.srcF16(w, l, &ops[2]), ex.srcF16(w, l, &ops[3])
 		ex.putF16(w, l, &ops[0], float32(fma32(a, b, c)))
@@ -929,7 +929,7 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		var res uint32
 		switch m.sub[pc] {
 		case subRedFAdd:
-			res = math.Float32bits(math.Float32frombits(old) + math.Float32frombits(val))
+			res = math.Float32bits(fadd32(math.Float32frombits(old), math.Float32frombits(val)))
 		case subRedMax:
 			res = math.Float32bits(fmnmx32(math.Float32frombits(old), math.Float32frombits(val), false))
 		case subRedMin:
@@ -1215,17 +1215,30 @@ func fma32(a, b, c float32) float32 {
 // exponent range covers subnormal×subnormal, so the conversion back is the
 // one IEEE round-to-nearest-even and the result is bit-identical to a*b.
 func fmul32(a, b float32) float32 {
-	return mulNaN32(float32(float64(a)*float64(b)), a)
+	return firstNaN32(float32(float64(a)*float64(b)), a)
 }
 
-// mulNaN32 pins the NaN×NaN payload of an FP32 product v = a*b to x86's
-// rule: the first operand's NaN, quieted. The compiler may swap the operands
-// of a commutative multiply, so a bare a*b otherwise returns either payload
-// depending on the site it was compiled at. Every other NaN product (one NaN
-// operand, Inf×0) has a single answer and passes through.
-func mulNaN32(v, a float32) float32 {
+// fadd32 is the FP32 add of every executor, with the NaN+NaN payload pinned
+// like fmul32's.
+func fadd32(a, b float32) float32 { return firstNaN32(a+b, a) }
+
+// firstNaN32 pins the NaN-and-NaN payload of a commutative FP32 operation
+// v = a op b (a sum or a product) to x86's rule: the first operand's NaN,
+// quieted. The compiler may swap the operands of a commutative operation,
+// so a bare a*b or a+b otherwise returns either payload depending on the
+// site it was compiled at. Every other NaN result (one NaN operand, Inf×0,
+// Inf−Inf) has a single answer and passes through.
+func firstNaN32(v, a float32) float32 {
 	if v != v && a != a {
 		return math.Float32frombits(math.Float32bits(a) | 1<<22)
+	}
+	return v
+}
+
+// firstNaN64 is firstNaN32 for an FP64 sum or product.
+func firstNaN64(v, a float64) float64 {
+	if v != v && a != a {
+		return math.Float64frombits(math.Float64bits(a) | 1<<51)
 	}
 	return v
 }

@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gpufpx/internal/sass"
@@ -120,8 +121,12 @@ func TestFMul32MatchesHardware(t *testing.T) {
 // the generic .FTZ form — under the full warp, the per-lane shapes again
 // under a half-populated exec mask, then stored per thread. The inputs a, b come
 // from per-thread arrays; c[0x0][0x168] and c[0x0][0x16c] are uniform
-// scales.
-var fmulShapes = sass.MustParse("fmul_shapes", `
+// scales. faddShapes is the same listing with every FMUL an FADD.
+var fmulShapes = sass.MustParse("fmul_shapes", fmulShapesSrc)
+
+var faddShapes = sass.MustParse("fadd_shapes", strings.ReplaceAll(fmulShapesSrc, "FMUL", "FADD"))
+
+const fmulShapesSrc = `
 S2R R0, SR_TID.X ;
 SHL R1, R0, 0x2 ;
 MOV R2, c[0x0][0x160] ;
@@ -154,7 +159,7 @@ STG.E [R2+0x18], R12 ;
 STG.E [R2+0x1c], R13 ;
 STG.E [R2+0x20], R14 ;
 EXIT ;
-`)
+`
 
 // fmulShapeInputs cycles subnormal, NaN-payload and overflow-prone values
 // so every shape sees products that land subnormal, saturate to Inf, or
@@ -182,7 +187,7 @@ type fmulShapeRun struct {
 	regs   []string // After-call observations: pc, lane, destination bits
 }
 
-func runFMULShapes(t *testing.T, mode ExecMode, inject bool) fmulShapeRun {
+func runFMULShapes(t *testing.T, k *sass.Kernel, mode ExecMode, inject bool) fmulShapeRun {
 	t.Helper()
 	const threads = 64
 	d := New(DefaultConfig())
@@ -192,13 +197,13 @@ func runFMULShapes(t *testing.T, mode ExecMode, inject bool) fmulShapeRun {
 		d.Store32(a+uint32(4*i), fmulShapeInputs[i%n])
 		d.Store32(b+uint32(4*i), fmulShapeInputs[(i/n+i*5)%n])
 	}
-	l := &Launch{Kernel: fmulShapes, GridDim: 1, BlockDim: threads, Exec: mode,
+	l := &Launch{Kernel: k, GridDim: 1, BlockDim: threads, Exec: mode,
 		Params: []uint32{a, b, 0x26800000, 0x1e3ce508, out}}
 	var run fmulShapeRun
 	if inject {
 		l.Inject = make(map[int][]InjectedCall)
-		for i := range fmulShapes.Instrs {
-			in := &fmulShapes.Instrs[i]
+		for i := range k.Instrs {
+			in := &k.Instrs[i]
 			dst, ok := in.DestReg()
 			if !ok || !in.Op.IsFP32Compute() {
 				continue
@@ -225,39 +230,139 @@ func runFMULShapes(t *testing.T, mode ExecMode, inject bool) fmulShapeRun {
 	return run
 }
 
-// TestFMULShapesAgreeAcrossExecutors holds the lowered and fused FMUL
-// specializations to the interp executor's native multiply on subnormal,
-// NaN-payload and overflow operands: identical stored results, cycles and
-// Stats, and — with an After call on every FP32 site, which routes the
-// fused program through its per-instruction thunks — identical destination
-// registers at every site.
+// TestFMULShapesAgreeAcrossExecutors holds the lowered and fused FMUL and
+// FADD specializations to the interp executor on subnormal, NaN-payload
+// and overflow operands: identical stored results, cycles and Stats, and —
+// with an After call on every FP32 site, which runs the fused chain between
+// its call sites — identical destination registers at every site.
 func TestFMULShapesAgreeAcrossExecutors(t *testing.T) {
-	for _, inject := range []bool{false, true} {
-		ref := runFMULShapes(t, ExecInterp, inject)
-		if fk := fuseFor(fmulShapes); fk == nil || fk.chainOps == 0 {
-			t.Fatal("fmul_shapes compiled no fused chain")
+	for _, k := range []*sass.Kernel{fmulShapes, faddShapes} {
+		for _, inject := range []bool{false, true} {
+			checkShapesAgree(t, k, inject)
 		}
-		if inject && len(ref.regs) == 0 {
-			t.Fatal("no After-call observations")
+	}
+}
+
+func checkShapesAgree(t *testing.T, k *sass.Kernel, inject bool) {
+	t.Helper()
+	ref := runFMULShapes(t, k, ExecInterp, inject)
+	if fk := fuseFor(k); fk == nil || fk.chainOps == 0 {
+		t.Fatalf("%s compiled no fused chain", k.Name)
+	}
+	if inject && len(ref.regs) == 0 {
+		t.Fatal("no After-call observations")
+	}
+	for _, mode := range []ExecMode{ExecLowered, ExecFused} {
+		got := runFMULShapes(t, k, mode, inject)
+		name := fmt.Sprintf("%s %v inject=%v", k.Name, mode, inject)
+		for i := range ref.out {
+			if got.out[i] != ref.out[i] {
+				t.Errorf("%s: thread %d result %d = %#08x, interp %#08x", name, i/16, i%16, got.out[i], ref.out[i])
+			}
 		}
-		for _, mode := range []ExecMode{ExecLowered, ExecFused} {
-			got := runFMULShapes(t, mode, inject)
-			name := fmt.Sprintf("%v inject=%v", mode, inject)
-			for i := range ref.out {
-				if got.out[i] != ref.out[i] {
-					t.Errorf("%s: thread %d result %d = %#08x, interp %#08x", name, i/16, i%16, got.out[i], ref.out[i])
+		if got.cycles != ref.cycles || got.stats != ref.stats {
+			t.Errorf("%s: %d cycles %+v, interp %d cycles %+v", name, got.cycles, got.stats, ref.cycles, ref.stats)
+		}
+		if len(got.regs) != len(ref.regs) {
+			t.Fatalf("%s: %d After-call observations, interp %d", name, len(got.regs), len(ref.regs))
+		}
+		for i := range ref.regs {
+			if got.regs[i] != ref.regs[i] {
+				t.Errorf("%s: %s, interp %s", name, got.regs[i], ref.regs[i])
+			}
+		}
+	}
+}
+
+// wideNaN is DADD/DMUL on FP64 pairs and HADD2/HMUL2 on FP16 low halves,
+// per thread: a, b at c[0x0][0x160]/[0x164] (8 bytes each), h, g at
+// [0x168]/[0x16c] (4 bytes each), results to [0x170] (24 bytes each).
+var wideNaN = sass.MustParse("wide_nan", `
+S2R R0, SR_TID.X ;
+SHL R1, R0, 0x3 ;
+MOV R2, c[0x0][0x160] ;
+IADD R2, R2, R1 ;
+LDG.E.64 R4, [R2] ;
+MOV R2, c[0x0][0x164] ;
+IADD R2, R2, R1 ;
+LDG.E.64 R6, [R2] ;
+SHL R1, R0, 0x2 ;
+MOV R2, c[0x0][0x168] ;
+IADD R2, R2, R1 ;
+LDG.E R12, [R2] ;
+MOV R2, c[0x0][0x16c] ;
+IADD R2, R2, R1 ;
+LDG.E R13, [R2] ;
+DADD R8, R4, R6 ;
+DMUL R10, R4, R6 ;
+HADD2 R14, R12, R13 ;
+HMUL2 R15, R12, R13 ;
+MOV R1, 0x18 ;
+IMAD R2, R0, R1, c[0x0][0x170] ;
+STG.E.64 [R2], R8 ;
+STG.E.64 [R2+0x8], R10 ;
+STG.E [R2+0x10], R14 ;
+STG.E [R2+0x14], R15 ;
+EXIT ;
+`)
+
+// TestWideNaNPayloadsPinned pins DADD/DMUL and HADD2/HMUL2 to the same
+// NaN-and-NaN rule as FADD/FMUL — the first operand's NaN, quieted — in
+// every executor, and checks the executors agree on every other lane.
+func TestWideNaNPayloadsPinned(t *testing.T) {
+	in64 := []uint64{0x7ff8000000012345, 0xfff4000000000001, 0x3ff0000000000000, 0x7ff0000000000000, 0}
+	in16 := []uint32{0x7e01, 0xfd02, 0x3c00, 0x7c00, 0}
+	const threads = 32
+	run := func(mode ExecMode) []uint32 {
+		d := New(DefaultConfig())
+		a, b := d.Alloc(8*threads), d.Alloc(8*threads)
+		h, g := d.Alloc(4*threads), d.Alloc(4*threads)
+		out := d.Alloc(24 * threads)
+		n := len(in64)
+		for i := 0; i < threads; i++ {
+			d.Store64(a+uint32(8*i), in64[i%n])
+			d.Store64(b+uint32(8*i), in64[(i/n+i)%n])
+			d.Store32(h+uint32(4*i), in16[i%n])
+			d.Store32(g+uint32(4*i), in16[(i/n+i)%n])
+		}
+		if _, err := d.Launch(&Launch{Kernel: wideNaN, GridDim: 1, BlockDim: threads, Exec: mode,
+			Params: []uint32{a, b, h, g, out}}); err != nil {
+			t.Fatal(err)
+		}
+		var res []uint32
+		for i := 0; i < 6*threads; i++ {
+			res = append(res, d.Load32(out+uint32(4*i)))
+		}
+		return res
+	}
+	ref := run(ExecInterp)
+	n := len(in64)
+	for i := 0; i < threads; i++ {
+		a, b := in64[i%n], in64[(i/n+i)%n]
+		fa, fb := math.Float64frombits(a), math.Float64frombits(b)
+		if fa != fa && fb != fb {
+			want := a | 1<<51
+			for j, op := range []string{"DADD", "DMUL"} {
+				if got := uint64(ref[6*i+2*j+1])<<32 | uint64(ref[6*i+2*j]); got != want {
+					t.Errorf("thread %d: %s %#016x, %#016x = %#016x, want %#016x", i, op, a, b, got, want)
 				}
 			}
-			if got.cycles != ref.cycles || got.stats != ref.stats {
-				t.Errorf("%s: %d cycles %+v, interp %d cycles %+v", name, got.cycles, got.stats, ref.cycles, ref.stats)
-			}
-			if len(got.regs) != len(ref.regs) {
-				t.Fatalf("%s: %d After-call observations, interp %d", name, len(got.regs), len(ref.regs))
-			}
-			for i := range ref.regs {
-				if got.regs[i] != ref.regs[i] {
-					t.Errorf("%s: %s, interp %s", name, got.regs[i], ref.regs[i])
+		}
+		h, g := in16[i%n], in16[(i/n+i)%n]
+		if h&0x7c00 == 0x7c00 && h&0x3ff != 0 && g&0x7c00 == 0x7c00 && g&0x3ff != 0 {
+			want := h | 0x200
+			for j, op := range []string{"HADD2", "HMUL2"} {
+				if got := ref[6*i+4+j]; got != want {
+					t.Errorf("thread %d: %s %#04x, %#04x = %#04x, want %#04x", i, op, h, g, got, want)
 				}
+			}
+		}
+	}
+	for _, mode := range []ExecMode{ExecLowered, ExecFused} {
+		got := run(mode)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Errorf("%v: thread %d word %d = %#08x, interp %#08x", mode, i/6, i%6, got[i], ref[i])
 			}
 		}
 	}

@@ -25,10 +25,6 @@ type fusedSeg struct {
 	start, end int
 	ch         *chain // nil → thunk segment
 	th         thunk
-	// cost and fp are the summed cycle cost and FP instruction count of
-	// the segment's PC range, so runRegionSlow settles a call-free
-	// segment's statistics in O(1) instead of per instruction.
-	cost, fp uint64
 }
 
 // fusedRegion is one fused superinstruction.
@@ -59,6 +55,10 @@ type fusedKernel struct {
 	maxUni int
 	// nsegs is the total segment count across regions.
 	nsegs int
+	// costPre[pc] and fpPre[pc] are the summed cycle cost and FP
+	// instruction count of PCs [0, pc), so the instrumented path settles
+	// any call-free PC run's statistics in O(1) (executor.settle).
+	costPre, fpPre []uint64
 	// per-program fusion statistics.
 	seqs, fusedInstrs, chainOps uint64
 }
@@ -66,9 +66,20 @@ type fusedKernel struct {
 // fuseKernel builds the fused program for one kernel.
 func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 	n := len(k.Instrs)
-	fk := &fusedKernel{regionAt: make([]int32, n)}
+	fk := &fusedKernel{
+		regionAt: make([]int32, n),
+		costPre:  make([]uint64, n+1),
+		fpPre:    make([]uint64, n+1),
+	}
 	for i := range fk.regionAt {
 		fk.regionAt[i] = -1
+	}
+	for pc := 0; pc < n; pc++ {
+		fk.costPre[pc+1] = fk.costPre[pc] + m.cost[pc]
+		fk.fpPre[pc+1] = fk.fpPre[pc]
+		if m.isFP[pc] {
+			fk.fpPre[pc+1]++
+		}
 	}
 	// Branch targets are leaders: a region never spans one, so jumping into
 	// the middle of a fused body is impossible.
@@ -120,7 +131,7 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 			}
 			seg := fusedSeg{start: chainStart, end: endPC}
 			if len(curCB.mops) > 0 {
-				seg.ch = newChain(curCB.mops, curCB.pre)
+				seg.ch = newChain(curCB.mops, curCB.pre, append(curCB.at, int32(len(curCB.mops))))
 				if len(curCB.pre) > fk.maxUni {
 					fk.maxUni = len(curCB.pre)
 				}
@@ -141,12 +152,15 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 				// PC still needs a segment so injected calls there run.
 				if curCB == nil {
 					r.segs = append(r.segs, fusedSeg{start: bp, end: bp + 1, th: nopThunk})
+				} else {
+					curCB.at = append(curCB.at, int32(len(curCB.mops)))
 				}
 			case fuseChain:
 				if curCB == nil {
 					curCB = &chainBuilder{}
 					chainStart = bp
 				}
+				curCB.at = append(curCB.at, int32(len(curCB.mops)))
 				curCB.buildMop(in, m, bp)
 			default:
 				flush(bp)
@@ -155,21 +169,8 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 		}
 		flush(end)
 
-		for si := range r.segs {
-			s := &r.segs[si]
-			for bp := s.start; bp < s.end; bp++ {
-				s.cost += m.cost[bp]
-				if m.isFP[bp] {
-					s.fp++
-				}
-			}
-		}
-		for bp := start; bp < end; bp++ {
-			r.cost += m.cost[bp]
-			if m.isFP[bp] {
-				r.fp++
-			}
-		}
+		r.cost = fk.costPre[end] - fk.costPre[start]
+		r.fp = fk.fpPre[end] - fk.fpPre[start]
 		r.total = uint64(end - start)
 		if hasTail {
 			in := &k.Instrs[end]

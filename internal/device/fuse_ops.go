@@ -193,12 +193,16 @@ type chain struct {
 	mops []mop
 	fns  []mopFn
 	pre  []prefetch
+	// at maps the chain's PCs to their micro-ops: the i-th PC of the
+	// segment owns fns[at[i]:at[i+1]] (empty for a PC the fusion pass
+	// elided), so the instrumented path can stop between any two PCs.
+	at []int32
 }
 
 // newChain compiles the accumulated micro-ops into their specialized
 // closures.
-func newChain(mops []mop, pre []prefetch) *chain {
-	c := &chain{mops: mops, pre: pre, fns: make([]mopFn, len(mops))}
+func newChain(mops []mop, pre []prefetch, at []int32) *chain {
+	c := &chain{mops: mops, pre: pre, at: at, fns: make([]mopFn, len(mops))}
 	for i := range mops {
 		c.fns[i] = compileMop(&mops[i])
 	}
@@ -209,6 +213,7 @@ func newChain(mops []mop, pre []prefetch) *chain {
 type chainBuilder struct {
 	mops []mop
 	pre  []prefetch
+	at   []int32
 }
 
 // src32 resolves a lowered FP32/raw-bits source into a chain operand.
@@ -378,6 +383,17 @@ func emptySetp(op *mop) bool { return op.pd < 0 && op.pq < 0 }
 // runChain executes one fused chain for the executing lanes: prefetch the
 // warp-invariant operands once, then run each compiled micro-op closure.
 func (ex *executor) runChain(w *Warp, c *chain, exec uint32) {
+	uni := ex.prefetch(c)
+	for _, fn := range c.fns {
+		fn(w, exec, uni)
+	}
+}
+
+// prefetch resolves a chain's warp-invariant operands into the executor's
+// uniform buffer. Constant-bank words are launch-invariant, so one fetch at
+// chain entry serves every micro-op, whether or not injected calls run
+// between them.
+func (ex *executor) prefetch(c *chain) []uint32 {
 	uni := ex.uniBuf
 	for i := range c.pre {
 		p := &c.pre[i]
@@ -387,9 +403,7 @@ func (ex *executor) runChain(w *Warp, c *chain, exec uint32) {
 			uni[i] = p.f.fetch(ex.d)
 		}
 	}
-	for _, fn := range c.fns {
-		fn(w, exec, uni)
-	}
+	return uni
 }
 
 // laneCol reslices the warp's flat lane-major register file into one
@@ -498,13 +512,13 @@ func compileMop(m *mop) mopFn {
 						n := (WarpSize-1)*st + 1
 						pd, pa, pb := laneCol(w, d, n), laneCol(w, a, n), laneCol(w, b, n)
 						for base := uint(0); base < uint(len(pd)); base += uint(st) {
-							pd[base] = math.Float32bits(math.Float32frombits(pa[base]) + math.Float32frombits(pb[base]))
+							pd[base] = math.Float32bits(fadd32(math.Float32frombits(pa[base]), math.Float32frombits(pb[base])))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[d] = math.Float32bits(math.Float32frombits(r[a]) + math.Float32frombits(r[b]))
+						r[d] = math.Float32bits(fadd32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 					}
 				}
 			}
@@ -516,13 +530,13 @@ func compileMop(m *mop) mopFn {
 						n := (WarpSize-1)*st + 1
 						pd, pa := laneCol(w, d, n), laneCol(w, a, n)
 						for base := uint(0); base < uint(len(pd)); base += uint(st) {
-							pd[base] = math.Float32bits(math.Float32frombits(pa[base]) + fb)
+							pd[base] = math.Float32bits(fadd32(math.Float32frombits(pa[base]), fb))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[d] = math.Float32bits(math.Float32frombits(r[a]) + fb)
+						r[d] = math.Float32bits(fadd32(math.Float32frombits(r[a]), fb))
 					}
 				}
 			}
@@ -531,7 +545,7 @@ func compileMop(m *mop) mopFn {
 			ea, eb := op.a.entry(uni), op.b.entry(uni)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
-				r[op.dst] = out32(laneF32(&op.a, r, ea)+laneF32(&op.b, r, eb), op.ftz)
+				r[op.dst] = out32(fadd32(laneF32(&op.a, r, ea), laneF32(&op.b, r, eb)), op.ftz)
 			}
 		}
 	case mopFMUL:

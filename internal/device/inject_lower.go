@@ -103,8 +103,8 @@ func (s *ClassSrc) Uniform() bool { return s.kind == classConst || s.kind == cla
 // Worst returns the most severe IEEE class the operand takes across the
 // executing lanes (NaN > INF > SUB > VAL > VAL0). Compile-time operands
 // return their baked class; constant-bank operands classify one warp-
-// invariant read; register operands walk the exec mask bit by bit with
-// direct register-file access and stop early once a NaN lane is seen.
+// invariant read; register operands take the column scan, whose two
+// reductions decide the worst class exactly (scanClass).
 func (s *ClassSrc) Worst(c *InjCtx) fpval.Class {
 	switch s.kind {
 	case classConst:
@@ -117,67 +117,51 @@ func (s *ClassSrc) Worst(c *InjCtx) fpval.Class {
 		}
 		return fpval.Classify(s.fmt, uint64(c.Dev.CBankRead(s.bank, s.off)))
 	}
-	w := c.Warp
-	worst := fpval.Zero
-	sev := uint8(0)
-	for m := c.ExecMask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		var cl fpval.Class
-		switch s.kind {
-		case classReg32:
-			cl = fpval.Classify32(w.regs[l][s.reg])
-		case classReg64:
-			cl = fpval.Classify64(fpval.Pair64(w.regs[l][s.reg], w.regs[l][s.reg+1]))
-		case classReg16:
-			cl = fpval.Classify16(uint16(w.regs[l][s.reg]))
-		default:
-			cl = fpval.ClassifyBF16(uint16(w.regs[l][s.reg]))
-		}
-		if v := cl.Severity(); v > sev {
-			worst, sev = cl, v
-			if sev == fpval.MaxSeverity {
-				break
-			}
-		}
-	}
-	return worst
+	return scanClass(c.Warp, s.kind, s.reg, c.ExecMask)
 }
 
-// ExcMasks32 classifies a 32-bit register across the executing lanes in one
-// direct register-file pass, returning the lane masks whose values are NaN,
-// INF and subnormal. RZ (and by extension any all-zero register) yields
-// empty masks. This is the detector's slimmed injected body: the common
-// no-exception call is one classification per executing lane with no
-// per-lane indirection, and callers only walk lanes when a mask is non-zero.
+// ExcMasks32 classifies a 32-bit register across the executing lanes,
+// returning the lane masks whose values are NaN, INF and subnormal. RZ
+// (and by extension any all-zero register) yields empty masks. This is the
+// detector's slimmed injected body: the common no-exception call is one
+// column scan with no per-lane branching, and callers only walk lanes when
+// a mask is non-zero.
 func (c *InjCtx) ExcMasks32(reg int) (nan, inf, sub uint32) {
-	if reg == sass.RZ {
-		return
-	}
-	w := c.Warp
-	for m := c.ExecMask; m != 0; m &= m - 1 {
-		bit := m & -m
-		switch fpval.Classify32(w.regs[bits.TrailingZeros32(m)][reg]) {
-		case fpval.NaN:
-			nan |= bit
-		case fpval.Inf:
-			inf |= bit
-		case fpval.Subnormal:
-			sub |= bit
-		}
-	}
-	return
+	return c.excMasks(classReg32, reg)
 }
 
 // ExcMasks64 is ExcMasks32 for the FP64 register pair (reg, reg+1).
 func (c *InjCtx) ExcMasks64(reg int) (nan, inf, sub uint32) {
+	return c.excMasks(classReg64, reg)
+}
+
+// ExcMasks16 is ExcMasks32 for the FP16 value in a register's low half.
+func (c *InjCtx) ExcMasks16(reg int) (nan, inf, sub uint32) {
+	return c.excMasks(classReg16, reg)
+}
+
+func (c *InjCtx) excMasks(k classKind, reg int) (nan, inf, sub uint32) {
 	if reg == sass.RZ {
 		return
 	}
 	w := c.Warp
+	if cl := scanClass(w, k, reg, c.ExecMask); !cl.Exceptional() {
+		return
+	}
+	// Slow path: some lane is exceptional; classify lane by lane.
 	for m := c.ExecMask; m != 0; m &= m - 1 {
 		bit := m & -m
-		l := bits.TrailingZeros32(m)
-		switch fpval.Classify64(fpval.Pair64(w.regs[l][reg], w.regs[l][reg+1])) {
+		r := w.regs[bits.TrailingZeros32(m)]
+		var cl fpval.Class
+		switch k {
+		case classReg32:
+			cl = fpval.Classify32(r[reg])
+		case classReg64:
+			cl = fpval.Classify64(fpval.Pair64(r[reg], r[reg+1]))
+		default:
+			cl = fpval.Classify16(uint16(r[reg]))
+		}
+		switch cl {
 		case fpval.NaN:
 			nan |= bit
 		case fpval.Inf:
@@ -189,24 +173,95 @@ func (c *InjCtx) ExcMasks64(reg int) (nan, inf, sub uint32) {
 	return
 }
 
-// ExcMasks16 is ExcMasks32 for the FP16 value in a register's low half.
-func (c *InjCtx) ExcMasks16(reg int) (nan, inf, sub uint32) {
-	if reg == sass.RZ {
-		return
+// colFmt is the magnitude layout of a format held in one 32-bit register:
+// the sign-clearing mask, the smallest normal magnitude and the all-ones
+// exponent (the smallest INF/NaN magnitude).
+type colFmt struct{ abs, minNormal, inf uint32 }
+
+var colFmts = [...]colFmt{
+	classReg32:   {0x7FFFFFFF, 0x00800000, 0x7F800000},
+	classReg16:   {0x7FFF, 0x0400, 0x7C00},
+	classRegBF16: {0x7FFF, 0x0080, 0x7F80},
+}
+
+// scanClass is the column scan behind Worst and ExcMasks: one pass over a
+// register's lane column reducing the magnitudes |v| (value bits with the
+// sign cleared) to hi = max |v| and lo = min(|v|-1), where a zero lane
+// wraps to the maximum and so drops out of the minimum. IEEE magnitudes
+// order like their bit patterns — zero, subnormals, normals, INF, then
+// the NaNs — so the worst class over the executing lanes is
+//
+//   - NaN when hi > inf, INF when hi == inf (no lane above it is a NaN),
+//   - else Subnormal when lo < minNormal-1 (some non-zero lane lies below
+//     the smallest normal),
+//   - else Zero when hi == 0 (every lane zero, or no lane executing) and
+//     Normal otherwise.
+//
+// The full-mask loop walks the lane-stride column of w.backing with the
+// bounds checks proved away (laneCol).
+func scanClass(w *Warp, k classKind, reg int, exec uint32) fpval.Class {
+	if k == classReg64 {
+		lo, hi := scan64(w, reg, exec)
+		return magClass(lo, hi, 1<<52, 0x7FF<<52)
 	}
-	w := c.Warp
-	for m := c.ExecMask; m != 0; m &= m - 1 {
-		bit := m & -m
-		switch fpval.Classify16(uint16(w.regs[bits.TrailingZeros32(m)][reg])) {
-		case fpval.NaN:
-			nan |= bit
-		case fpval.Inf:
-			inf |= bit
-		case fpval.Subnormal:
-			sub |= bit
+	f := colFmts[k]
+	lo, hi := scan32(w, reg, exec, f.abs)
+	return magClass(lo, hi, f.minNormal, f.inf)
+}
+
+func magClass[T uint32 | uint64](lo, hi, minNormal, inf T) fpval.Class {
+	switch {
+	case hi > inf:
+		return fpval.NaN
+	case hi == inf:
+		return fpval.Inf
+	case lo < minNormal-1:
+		return fpval.Subnormal
+	case hi == 0:
+		return fpval.Zero
+	}
+	return fpval.Normal
+}
+
+// scan32 reduces one 32-bit register column (masked to abs) over exec.
+// Under a partial mask a lane outside exec reads as zero, which neither
+// reduction can see, so both loops stay branch- and bounds-check-free.
+func scan32(w *Warp, reg int, exec, abs uint32) (lo, hi uint32) {
+	lo = ^uint32(0)
+	st := w.stride
+	col := laneCol(w, int32(reg), (WarpSize-1)*st+1)
+	if exec == fullExec {
+		for base := uint(0); base < uint(len(col)); base += uint(st) {
+			a := col[base] & abs
+			lo, hi = min(lo, a-1), max(hi, a)
 		}
+		return lo, hi
 	}
-	return
+	for base, m := uint(0), exec; base < uint(len(col)); base, m = base+uint(st), m>>1 {
+		a := col[base] & abs & -(m & 1)
+		lo, hi = min(lo, a-1), max(hi, a)
+	}
+	return lo, hi
+}
+
+// scan64 reduces the FP64 register-pair column (reg, reg+1) over exec.
+func scan64(w *Warp, reg int, exec uint32) (lo, hi uint64) {
+	lo = ^uint64(0)
+	st := w.stride
+	n := (WarpSize-1)*st + 1
+	cl, ch := laneCol(w, int32(reg), n), laneCol(w, int32(reg+1), n)
+	if exec == fullExec {
+		for base := uint(0); base < uint(len(cl)); base += uint(st) {
+			a := uint64(ch[base]&0x7FFFFFFF)<<32 | uint64(cl[base])
+			lo, hi = min(lo, a-1), max(hi, a)
+		}
+		return lo, hi
+	}
+	for base, m := uint(0), uint64(exec); base < uint(len(cl)); base, m = base+uint(st), m>>1 {
+		a := (uint64(ch[base]&0x7FFFFFFF)<<32 | uint64(cl[base])) & -(m & 1)
+		lo, hi = min(lo, a-1), max(hi, a)
+	}
+	return lo, hi
 }
 
 // NewToolCtx returns a standalone injection context over a fresh full-mask

@@ -1,5 +1,7 @@
 package device
 
+import "sync/atomic"
+
 // InjectTable is a launch's injected calls pre-split by instruction PC and
 // phase — the cacheable form of the map[int][]InjectedCall a tool's
 // Instrument returns. Building the table once per instrumented kernel and
@@ -10,6 +12,11 @@ package device
 type InjectTable struct {
 	before, after [][]InjectedCall
 	n             int
+	// fused caches the table's call marks over the last fused program it
+	// ran with (see fusedCallsFor). Concurrent launches sharing the table
+	// read and publish it atomically; every change to which PCs carry
+	// calls (Add, and so Merge and AddMap) drops it.
+	fused atomic.Pointer[fusedCalls]
 }
 
 // NewInjectTable returns an empty table pre-sized for a kernel of n
@@ -56,6 +63,7 @@ func (t *InjectTable) Add(pc int, c InjectedCall) {
 		t.after[pc] = append(t.after[pc], c)
 	}
 	t.n++
+	t.fused.Store(nil)
 }
 
 // AddMap folds an Instrument result into the table, preserving each PC's
@@ -89,6 +97,7 @@ func (t *InjectTable) Clone() *InjectTable {
 			c.after[pc] = append([]InjectedCall(nil), calls...)
 		}
 	}
+	c.fused.Store(t.fused.Load())
 	return c
 }
 
@@ -97,6 +106,7 @@ func (t *InjectTable) Clone() *InjectTable {
 // existed. Like Add, it may only be used on an owned (cloned or freshly
 // built) table — this is how a LaunchSharder rebinds a cached table's tool
 // bodies to per-range recording bodies without touching the shared cache.
+// Which PCs carry calls does not change, so the fused call marks stay.
 func (t *InjectTable) SwapFn(when When, pc int, fn InjectFn) bool {
 	phase := t.after
 	if when == Before {
@@ -138,4 +148,52 @@ func (t *InjectTable) split(n int) (before, after [][]InjectedCall) {
 	after = make([][]InjectedCall, n)
 	copy(after, t.after)
 	return before, after
+}
+
+// fusedCalls marks which PCs, segments and regions of one fused program
+// carry injected calls under one table: the dispatch fast path's clean
+// tests and the instrumented path's call-site test. It is immutable once
+// published.
+type fusedCalls struct {
+	fk          *fusedKernel
+	hasCall     []bool // by PC
+	segClean    []bool // by launch-wide segment index (fusedRegion.segBase)
+	regionClean []bool
+}
+
+// fusedCallsFor returns the table's call marks over fk, computing and
+// caching them on first use; before and after are the table's phases
+// split to the kernel's length. Racing launches may both compute the
+// marks; either result is correct and the last one published stays.
+func (t *InjectTable) fusedCallsFor(fk *fusedKernel, before, after [][]InjectedCall) *fusedCalls {
+	if fc := t.fused.Load(); fc != nil && fc.fk == fk {
+		return fc
+	}
+	fc := &fusedCalls{
+		fk:          fk,
+		hasCall:     make([]bool, len(fk.regionAt)),
+		segClean:    make([]bool, fk.nsegs),
+		regionClean: make([]bool, len(fk.regions)),
+	}
+	for pc := range fc.hasCall {
+		fc.hasCall[pc] = len(before[pc]) > 0 || len(after[pc]) > 0
+	}
+	for ri := range fk.regions {
+		r := &fk.regions[ri]
+		clean := true
+		for si := range r.segs {
+			s := &r.segs[si]
+			sc := true
+			for pc := s.start; pc < s.end; pc++ {
+				if fc.hasCall[pc] {
+					sc, clean = false, false
+					break
+				}
+			}
+			fc.segClean[r.segBase+si] = sc
+		}
+		fc.regionClean[ri] = clean
+	}
+	t.fused.Store(fc)
+	return fc
 }

@@ -45,7 +45,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 			return uni(func(ex *executor, w *Warp, exec uint32) {
 				a := math.Float32frombits(s1.fetch(ex.d))
 				b := math.Float32frombits(s2.fetch(ex.d))
-				broadcast32(w, dst, out32(a+b, ftz), exec)
+				broadcast32(w, dst, out32(fadd32(a, b), ftz), exec)
 			})
 		}
 		// Shape-specialized fast paths: bare-register operands skip the
@@ -58,13 +58,13 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 					if exec == fullExec {
 						for l := 0; l < WarpSize; l++ {
 							r := w.regs[l]
-							r[dst] = math.Float32bits(math.Float32frombits(r[a]) + math.Float32frombits(r[b]))
+							r[dst] = math.Float32bits(fadd32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(math.Float32frombits(r[a]) + math.Float32frombits(r[b]))
+						r[dst] = math.Float32bits(fadd32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 					}
 				}
 			}
@@ -74,13 +74,13 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 					if exec == fullExec {
 						for l := 0; l < WarpSize; l++ {
 							r := w.regs[l]
-							r[dst] = math.Float32bits(math.Float32frombits(r[a]) + fb)
+							r[dst] = math.Float32bits(fadd32(math.Float32frombits(r[a]), fb))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(math.Float32frombits(r[a]) + fb)
+						r[dst] = math.Float32bits(fadd32(math.Float32frombits(r[a]), fb))
 					}
 				}
 			}
@@ -89,13 +89,13 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
 			if exec == fullExec {
 				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = out32(s1.f32(w, l, u1)+s2.f32(w, l, u2), ftz)
+					w.regs[l][dst] = out32(fadd32(s1.f32(w, l, u1), s2.f32(w, l, u2)), ftz)
 				}
 				return
 			}
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = out32(s1.f32(w, l, u1)+s2.f32(w, l, u2), ftz)
+				w.regs[l][dst] = out32(fadd32(s1.f32(w, l, u1), s2.f32(w, l, u2)), ftz)
 			}
 		}
 
@@ -706,7 +706,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 				var res uint32
 				switch red {
 				case subRedFAdd:
-					res = math.Float32bits(math.Float32frombits(old) + math.Float32frombits(val))
+					res = math.Float32bits(fadd32(math.Float32frombits(old), math.Float32frombits(val)))
 				case subRedMax:
 					res = math.Float32bits(fmnmx32(math.Float32frombits(old), math.Float32frombits(val), false))
 				case subRedMin:
@@ -947,11 +947,11 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	eval := func(a, b, c float64) float64 {
 		switch kind {
 		case d64Mul:
-			return a * b
+			return firstNaN64(a*b, a)
 		case d64Fma:
 			return math.FMA(a, b, c)
 		default:
-			return a + b
+			return firstNaN64(a+b, a)
 		}
 	}
 	if s1.uniform() && s2.uniform() && (kind != d64Fma || s3.uniform()) {
@@ -1015,11 +1015,11 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	eval := func(a, b, c float32) float32 {
 		switch kind {
 		case h16Mul:
-			return a * b
+			return firstNaN32(a*b, a)
 		case h16Fma:
 			return fma32(a, b, c)
 		default:
-			return a + b
+			return fadd32(a, b)
 		}
 	}
 	if s1.uniform() && s2.uniform() && (kind != h16Fma || s3.uniform()) {

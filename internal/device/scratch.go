@@ -3,10 +3,9 @@ package device
 // Per-launch scratch pooling. A launch-heavy workload (the service's batch
 // path runs thousands of launches per request) used to allocate a handful
 // of slices on every Launch call: the warp pointer table, the shared-memory
-// block, the fused tier's chain prefetch buffer and its clean-region marks,
-// and — on the cuda side — the copy-on-write InjectTable clone. None of
-// them outlive the launch, so they all come from sync.Pools now and go back
-// when the launch returns. The panic path deliberately skips the return: a
+// block, the fused tier's chain prefetch buffer and — on the cuda side —
+// the copy-on-write InjectTable clone. None of them outlive the launch, so
+// they all come from sync.Pools now and go back when the launch returns. The panic path deliberately skips the return: a
 // launch that died mid-flight may leave scratch in an unknown state, and
 // losing one pooled buffer is cheaper than recycling a corrupt one.
 
@@ -15,11 +14,9 @@ import "sync"
 // launchScratch bundles every per-launch slice Launch needs, so one pool
 // Get/Put covers them all.
 type launchScratch struct {
-	warps       []*Warp
-	shared      []byte
-	uniBuf      []uint32
-	regionClean []bool
-	segClean    []bool
+	warps  []*Warp
+	shared []byte
+	uniBuf []uint32
 }
 
 var scratchPool = sync.Pool{New: func() any { return &launchScratch{} }}
@@ -69,18 +66,6 @@ func growU32(s []uint32, n int) []uint32 {
 	return s
 }
 
-// growBools returns s zeroed with length n, reusing capacity.
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
 // injectTablePool recycles the copy-on-write InjectTable clones the cuda
 // launch path makes when a borrowed table must be mutated.
 var injectTablePool = sync.Pool{New: func() any { return &InjectTable{} }}
@@ -91,6 +76,7 @@ var injectTablePool = sync.Pool{New: func() any { return &InjectTable{} }}
 func (t *InjectTable) ClonePooled() *InjectTable {
 	c := injectTablePool.Get().(*InjectTable)
 	c.n = t.n
+	c.fused.Store(t.fused.Load())
 	c.before = fillPhase(c.before, t.before)
 	c.after = fillPhase(c.after, t.after)
 	return c
@@ -122,6 +108,7 @@ func (t *InjectTable) Release() {
 	clearPhase(t.before)
 	clearPhase(t.after)
 	t.n = 0
+	t.fused.Store(nil)
 	injectTablePool.Put(t)
 }
 

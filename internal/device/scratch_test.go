@@ -48,7 +48,7 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 
 func TestLaunchSteadyStateAllocsInstrumented(t *testing.T) {
 	// The instrumented fused path additionally exercises the pooled
-	// uniBuf/regionClean/segClean scratch and the table split.
+	// uniBuf scratch, the table split and the table's cached call marks.
 	tab := NewInjectTable(len(ffmaDense.Instrs))
 	for i := range ffmaDense.Instrs {
 		in := &ffmaDense.Instrs[i]

@@ -101,10 +101,63 @@ func TestDetectorNoExceptionPathAllocs(t *testing.T) {
 	}
 }
 
+// TestShadowNoFindingPathAllocs pins the same guarantee for the shadow
+// sanitizer's capture and paired-execution judge.
+func TestShadowNoFindingPathAllocs(t *testing.T) {
+	sh := NewShadow(DefaultShadowConfig())
+	calls, ctx := toolSite(t, sh, sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)))
+	ffmaResult(ctx)
+	runCalls(t, calls, ctx)
+	if n := testing.AllocsPerRun(100, func() { runCalls(t, calls, ctx) }); n != 0 {
+		t.Errorf("shadow no-finding path allocates %v per run, want 0", n)
+	}
+	if got := len(sh.Findings()); got != 0 {
+		t.Fatalf("normal values produced %d findings", got)
+	}
+}
+
+// ffmaResult stores FFMA R4, R1, R2, R3's result in every lane: the harness
+// runs injected bodies without executing the instruction, and the shadow
+// judges the destination against its paired execution.
+func ffmaResult(ctx *device.InjCtx) {
+	for lane := 0; lane < device.WarpSize; lane++ {
+		f := func(r int) float64 { return float64(math.Float32frombits(ctx.Reg32(lane, r))) }
+		ctx.Warp.SetReg(lane, 4, math.Float32bits(float32(math.FMA(f(1), f(2), f(3)))))
+	}
+}
+
+// mixLanes turns a benchmark context into the mixed-lane shape: every
+// third lane holds zero in every register, lane 7 the smallest FP32
+// subnormal, and the top four lanes do not execute — so the column scan
+// cannot clear the column and the per-lane slow path runs.
+func mixLanes(ctx *device.InjCtx) {
+	for lane := 0; lane < device.WarpSize; lane++ {
+		for r := 0; r < benchRegs; r++ {
+			switch {
+			case lane == 7:
+				ctx.Warp.SetReg(lane, r, 1)
+			case lane%3 == 0:
+				ctx.Warp.SetReg(lane, r, 0)
+			}
+		}
+	}
+	ctx.ExecMask = 0x0fffffff
+}
+
 func benchCalls(b *testing.B, tool interface {
 	Instrument(*sass.Kernel) map[int][]device.InjectedCall
 }, in sass.Instr) {
+	benchCallsOn(b, tool, in, nil)
+}
+
+// benchCallsOn is benchCalls with the context reshaped by prep first.
+func benchCallsOn(b *testing.B, tool interface {
+	Instrument(*sass.Kernel) map[int][]device.InjectedCall
+}, in sass.Instr, prep func(*device.InjCtx)) {
 	calls, ctx := toolSite(b, tool, in)
+	if prep != nil {
+		prep(ctx)
+	}
 	runCalls(b, calls, ctx)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,6 +171,13 @@ func benchCalls(b *testing.B, tool interface {
 func BenchmarkAnalyzerSiteFFMA(b *testing.B) {
 	benchCalls(b, NewAnalyzer(DefaultAnalyzerConfig()),
 		sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)))
+}
+
+// BenchmarkAnalyzerSiteFFMAMixed is BenchmarkAnalyzerSiteFFMA over zero
+// lanes, one subnormal lane and a partial exec mask: the scan's slow path.
+func BenchmarkAnalyzerSiteFFMAMixed(b *testing.B) {
+	benchCallsOn(b, NewAnalyzer(DefaultAnalyzerConfig()),
+		sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)), mixLanes)
 }
 
 // BenchmarkAnalyzerSiteSharedDADD measures a shared dest/source FP64 site:
@@ -145,4 +205,20 @@ func BenchmarkAnalyzerStoreCheck(b *testing.B) {
 func BenchmarkDetectorCheckFADD(b *testing.B) {
 	benchCalls(b, NewDetector(DefaultDetectorConfig()),
 		sass.NewInstr(sass.OpFADD, sass.Reg(4), sass.Reg(1), sass.Reg(2)))
+}
+
+// BenchmarkDetectorCheckFADDMixed is BenchmarkDetectorCheckFADD over zero
+// lanes, one subnormal lane and a partial exec mask: the scan's slow path
+// plus the GT probe of the subnormal record.
+func BenchmarkDetectorCheckFADDMixed(b *testing.B) {
+	benchCallsOn(b, NewDetector(DefaultDetectorConfig()),
+		sass.NewInstr(sass.OpFADD, sass.Reg(4), sass.Reg(1), sass.Reg(2)), mixLanes)
+}
+
+// BenchmarkShadowSiteFFMA measures the shadow sanitizer's before+after pair
+// on an FP32 FFMA site with no finding: operand capture, the inline paired
+// FMA and the quiet test per lane.
+func BenchmarkShadowSiteFFMA(b *testing.B) {
+	benchCallsOn(b, NewShadow(DefaultShadowConfig()),
+		sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)), ffmaResult)
 }

@@ -109,6 +109,14 @@ type shadowCounts struct {
 	emitted int
 }
 
+// Paired-execution shapes judge evaluates inline (shadowSite.op).
+const (
+	shadowEval uint8 = iota // MUFU: through shadowSite.eval
+	shadowAdd
+	shadowMul
+	shadowFMA
+)
+
 // shadowCand is one warp execution's worst-lane finding candidate — the pure
 // triage output shared by the live after call and the block-range shard.
 type shadowCand struct {
@@ -128,8 +136,10 @@ type shadowSite struct {
 	dstReg  int
 	fmt     fpval.Format
 	addLike bool
-	// eval is the FP64 paired execution of the instruction; unused operand
-	// slots are zero.
+	// op selects the FP64 paired execution judge runs inline; eval is the
+	// paired execution of the remaining (MUFU) sites, unused operand slots
+	// zero.
+	op   uint8
 	eval func(a, b, c float64) float64
 	// sigThresh is the format's relative-error threshold, resolved once.
 	sigThresh float64
@@ -165,14 +175,11 @@ func (sh *Shadow) compileShadowSite(kernel string, in *sass.Instr) *shadowSite {
 	}
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I, sass.OpHADD2:
-		s.nsrc, s.addLike = 2, true
-		s.eval = func(a, b, _ float64) float64 { return a + b }
+		s.nsrc, s.addLike, s.op = 2, true, shadowAdd
 	case sass.OpFMUL, sass.OpFMUL32I, sass.OpHMUL2:
-		s.nsrc = 2
-		s.eval = func(a, b, _ float64) float64 { return a * b }
+		s.nsrc, s.op = 2, shadowMul
 	case sass.OpFFMA, sass.OpFFMA32I, sass.OpHFMA2:
-		s.nsrc, s.addLike = 3, true
-		s.eval = math.FMA
+		s.nsrc, s.addLike, s.op = 3, true, shadowFMA
 	case sass.OpMUFU:
 		s.nsrc = 1
 		mod := ""
@@ -263,7 +270,17 @@ func (s *shadowSite) judge(ctx *device.InjCtx, ws *warpShadow, gen uint64, slot 
 	for m := ctx.ExecMask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
 		lo := &slot[l]
-		shadow := s.eval(lo.v[0], lo.v[1], lo.v[2])
+		var shadow float64
+		switch s.op {
+		case shadowAdd:
+			shadow = lo.v[0] + lo.v[1]
+		case shadowMul:
+			shadow = lo.v[0] * lo.v[1]
+		case shadowFMA:
+			shadow = math.FMA(lo.v[0], lo.v[1], lo.v[2])
+		default:
+			shadow = s.eval(lo.v[0], lo.v[1], lo.v[2])
+		}
 		realBits := ctx.Warp.Reg(l, s.dstReg)
 		var real float64
 		if s.fmt == fpval.FP16 {
@@ -271,7 +288,11 @@ func (s *shadowSite) judge(ctx *device.InjCtx, ws *warpShadow, gen uint64, slot 
 		} else {
 			real = float64(math.Float32frombits(realBits))
 		}
-		c, ok := s.classify(shadow, real, lo)
+		var c shadowCand
+		ok := false
+		if !s.quiet(shadow, real, lo) {
+			c, ok = s.classify(shadow, real, lo)
+		}
 		cellVal := shadow
 		if ok && c.kind == KindDivergence {
 			// Resync after a divergence: repeating the same structural
@@ -288,6 +309,48 @@ func (s *shadowSite) judge(ctx *device.InjCtx, ws *warpShadow, gen uint64, slot 
 		}
 	}
 	return best, found
+}
+
+// quiet is classify's conservative pre-test: true proves classify would
+// return !ok for the lane, false only sends the lane to classify. It reads
+// the FP64 exponent fields instead of calling math.Ilogb and compares
+// without dividing:
+//
+//   - a field of all ones (INF/NaN) in real or shadow is left to classify;
+//   - for add-like sites with both terms non-zero, the cancellation depth
+//     max(ilogb t1, ilogb t2) − ilogb shadow is exact from the biased
+//     exponents when t1, t2 and the shadow are all normal FP64 values;
+//     any zero, subnormal or non-finite value among them is left to
+//     classify, which falls back to math.Ilogb;
+//   - relErr = fl(d / denom) cannot exceed the power-of-two threshold T
+//     when d <= T·denom holds exactly (rounding is monotone and T is
+//     representable), and T·denom is exact while it is a normal number;
+//     below that only d == 0 (relErr 0) is trusted.
+func (s *shadowSite) quiet(shadow, real float64, lo *shadowLaneOps) bool {
+	const expAll = 0x7FF
+	se := math.Float64bits(shadow) >> 52 & expAll
+	if se == expAll || math.Float64bits(real)>>52&expAll == expAll {
+		return false
+	}
+	if s.addLike {
+		t1, t2 := lo.v[0], lo.v[1]
+		if s.nsrc == 3 {
+			t1, t2 = lo.v[0]*lo.v[1], lo.v[2]
+		}
+		if t1 != 0 && t2 != 0 {
+			e1 := math.Float64bits(t1) >> 52 & expAll
+			e2 := math.Float64bits(t2) >> 52 & expAll
+			if se == 0 || e1 == 0 || e2 == 0 || e1 == expAll || e2 == expAll {
+				return false
+			}
+			if int(max(e1, e2))-int(se) >= s.sh.cfg.CancelBits {
+				return false
+			}
+		}
+	}
+	d := math.Abs(real - shadow)
+	bound := s.sigThresh * max(math.Abs(real), math.Abs(shadow))
+	return d <= bound && (bound >= 0x1p-1022 || d == 0)
 }
 
 // classify triages one lane's paired execution; ok is false for the
@@ -434,4 +497,3 @@ func (sh *Shadow) scratchFor(warpInBlock int) *shadowScratch {
 	}
 	return &sh.scratch[warpInBlock]
 }
-
