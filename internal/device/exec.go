@@ -305,37 +305,23 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 		// stepping so the abort lands on exactly the same instruction.
 		return ex.stepOne(w)
 	}
-	d := ex.d
 	exec := w.active
+	lanes := uint64(bits.OnesCount32(exec))
 	if ex.calls != nil && !ex.calls.regionClean[ri] {
 		// The body carries injected calls, which may abort the launch
 		// mid-region (event caps, early termination): statistics must
 		// never run ahead of a call, so an abort observes exactly the
 		// cycle count stepOne would have reached.
-		if err := ex.runRegionSlow(w, r, exec); err != nil {
+		if err := ex.runRegionSlow(w, r, exec, lanes); err != nil {
 			return err
 		}
-		if r.tail {
-			ex.issued++
-		}
 	} else {
-		before := ex.issued
-		ex.issued += r.total
-		if ex.cancel != nil && before>>10 != ex.issued>>10 {
-			select {
-			case <-ex.cancel:
-				return fmt.Errorf("device: kernel %s: %w", ex.l.Kernel.Name, ErrCanceled)
-			default:
-			}
-		}
 		// Every body instruction is @PT, so each would execute with the
 		// full active mask; nothing in a call-free body can abort, so
 		// statistics are identical accounted in bulk.
-		n := uint64(r.end - r.start)
-		d.Cycles += r.cost
-		d.Stats.Instructions += n
-		d.Stats.LaneOps += n * uint64(bits.OnesCount32(exec))
-		d.Stats.FPInstructions += r.fp
+		if err := ex.settle(r.start, r.end, lanes); err != nil {
+			return err
+		}
 		for si := range r.segs {
 			s := &r.segs[si]
 			if s.ch != nil {
@@ -350,8 +336,10 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	if !r.tail {
 		return nil
 	}
+	ex.issued++
 	// Fused branch tail: the guard reads the predicates the body just
 	// wrote; divergence handling mirrors the BRA case of stepOne.
+	d := ex.d
 	texec := exec
 	if r.tailPred >= 0 {
 		texec = 0
@@ -384,8 +372,7 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 // its call sites (runChainCalls), and only thunk segments step per PC.
 // Statistics are settled in bulk per call-free PC run, but never ahead of
 // execution past a call, because any call may abort the launch.
-func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
-	lanes := uint64(bits.OnesCount32(exec))
+func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32, lanes uint64) error {
 	segClean := ex.calls.segClean[r.segBase:]
 	for si := range r.segs {
 		s := &r.segs[si]

@@ -31,9 +31,8 @@ type fusedSeg struct {
 type fusedRegion struct {
 	start, end int // body PC range [start, end)
 	// total is the dynamic instruction count per execution (body + tail),
-	// cost the summed cycle cost and fp the FP instruction count of the
-	// body — accounted in bulk by stepRegion.
-	total, cost, fp uint64
+	// checked against the launch budget before the region runs.
+	total uint64
 	// segBase indexes this region's first segment in the launch-wide
 	// per-segment call tables.
 	segBase int
@@ -169,8 +168,6 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 		}
 		flush(end)
 
-		r.cost = fk.costPre[end] - fk.costPre[start]
-		r.fp = fk.fpPre[end] - fk.fpPre[start]
 		r.total = uint64(end - start)
 		if hasTail {
 			in := &k.Instrs[end]
